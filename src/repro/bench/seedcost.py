@@ -367,7 +367,7 @@ def _seed_file_get(self: SSTableFile, key, reader, pinned: bool = False) -> Entr
         candidate = tile.pages[page_idx]
         if candidate.bloom is not None and not candidate.bloom.might_contain(key):
             continue
-        page = reader.read_page(self, tile_idx, page_idx)
+        page, _ = reader.read_page(self, tile_idx, page_idx)
         entry = _seed_page_get(page, key)
         if entry is not None:
             return entry

@@ -55,10 +55,11 @@ class Level:
         #: Called after every structural mutation; the tree uses it to
         #: invalidate its deepest-level cache and mark maintenance dirty.
         self.observer = observer
-        # Read-path pruning counters (maintained by LSMTree._get_entry /
-        # scan): how often this level's runs were probed vs skipped
-        # without I/O, and how many lookups it answered.  Surfaced via
-        # ``tree.read_stats()`` and the inspector's read-path table.
+        # Read-path pruning counters (maintained by the tree's one read
+        # path, LSMTree._get_entry / scan, in both write modes): how often
+        # this level's runs were probed vs skipped without I/O, and how
+        # many lookups it answered.  Surfaced via ``tree.read_stats()``
+        # and the inspector's read-path table.
         self.lookup_probes = 0
         self.lookup_skips_range = 0
         self.lookup_skips_bloom = 0

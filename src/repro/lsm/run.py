@@ -51,34 +51,15 @@ class PageReader:
         tile_idx: int,
         page_idx: int,
         pinned: bool = False,
-    ) -> Page:
+    ) -> tuple[Page, int | None]:
         """Fetch one page, charging the device only on a cache miss.
 
         ``pinned`` marks the page as preferentially retained by the cache
         (the tree pins level-1 pages -- the hottest, most-churned data).
-        """
-        flat = file.flat_page_index(tile_idx, page_idx)
-        cached = self.cache.get(file.file_id, flat)
-        if cached is not None:
-            return cached
-        self.disk.read_pages(1, self.category)
-        page = file.tiles[tile_idx].pages[page_idx]
-        self.cache.put(file.file_id, flat, page, pinned)
-        return page
-
-    def read_page_admitting(
-        self,
-        file: "SSTableFile",
-        tile_idx: int,
-        page_idx: int,
-        pinned: bool = False,
-    ) -> tuple[Page, int | None]:
-        """Like :meth:`read_page`, but also reports a fresh admission.
-
-        Returns ``(page, flat_index)`` on a cache miss and ``(page, None)``
-        on a hit, so a negative point lookup can hand the freshly admitted
-        page back to the hardened cache's negative-lookup guard (a page
-        that was *already* resident earned its slot and is never dropped).
+        Returns ``(page, flat_index)`` when this call admitted the page
+        and ``(page, None)`` on a hit, so a negative point lookup can hand
+        its fresh admissions to the hardened cache's negative-lookup guard
+        (a page that was *already* resident earned its slot).
         """
         flat = file.flat_page_index(tile_idx, page_idx)
         cached = self.cache.get(file.file_id, flat)
@@ -330,59 +311,33 @@ class SSTableFile:
         """Point lookup: fence -> candidate pages -> binary search.
 
         The file-level Bloom filter is the *caller's* job (the run
-        consults it before descending); per-page filters, when present,
-        prune candidate pages here before any I/O.  A single-page tile
-        (the classical ``h == 1`` layout) skips the candidate enumeration:
-        the tile fence already proved the key can only live in that page.
-        ``tile_idx`` lets a caller that already located the tile (the
-        tree's cache-first probe) skip the second fence search.
+        consults it before descending); per-page fences and filters, when
+        present, prune candidate pages here before any I/O.  ``tile_idx``
+        lets a caller that already located the tile (the tree's
+        single-page descent) skip the second fence search.
         """
         if tile_idx is None:
             tile_idx = self.tile_fence.locate(key)
         if tile_idx is None:
             return None
-        tile = self.tiles[tile_idx]
-        pages = tile.pages
-        if not reader.cache.hardened:
-            if len(pages) == 1:
-                return reader.read_page(self, tile_idx, 0, pinned).get(key)
-            for page_idx, candidate in enumerate(pages):
-                if not candidate.covers_key(key):
-                    continue
-                if candidate.bloom is not None and not candidate.bloom.might_contain(key):
-                    continue
-                page = reader.read_page(self, tile_idx, page_idx, pinned)
-                entry = page.get(key)
-                if entry is not None:
-                    return entry
-            return None
-        # Hardened cache: track fresh admissions so that when the lookup
-        # turns out negative (a filter false positive paid page I/O for
-        # nothing) the pages admitted on its behalf can be handed to the
-        # negative-lookup guard instead of displacing the hot set.
-        admitted: list[int] = []
-        entry = None
-        if len(pages) == 1:
-            page, flat = reader.read_page_admitting(self, tile_idx, 0, pinned)
-            if flat is not None:
-                admitted.append(flat)
+        admitted: tuple[int, ...] = ()
+        for page_idx, candidate in enumerate(self.tiles[tile_idx].pages):
+            if not candidate.covers_key(key):
+                continue
+            if candidate.bloom is not None and not candidate.bloom.might_contain(key):
+                continue
+            page, flat = reader.read_page(self, tile_idx, page_idx, pinned)
             entry = page.get(key)
-        else:
-            for page_idx, candidate in enumerate(pages):
-                if not candidate.covers_key(key):
-                    continue
-                if candidate.bloom is not None and not candidate.bloom.might_contain(key):
-                    continue
-                page, flat = reader.read_page_admitting(self, tile_idx, page_idx, pinned)
-                if flat is not None:
-                    admitted.append(flat)
-                entry = page.get(key)
-                if entry is not None:
-                    break
-        if entry is None:
-            for flat in admitted:
-                reader.cache.note_negative(self.file_id, flat)
-        return entry
+            if entry is not None:
+                return entry
+            if flat is not None:
+                admitted += (flat,)
+        # Negative lookup: every page admitted on its behalf was paid for
+        # by a filter false positive.  A hardened cache drops them before
+        # a flood of such misses evicts the hot set (a no-op otherwise).
+        for flat in admitted:
+            reader.cache.note_negative(self.file_id, flat)
+        return None
 
     def range_entries(self, lo: Any, hi: Any, reader: PageReader) -> Iterator[Entry]:
         """Entries with ``lo <= key <= hi`` in sort-key order.
@@ -393,7 +348,8 @@ class SSTableFile:
         for tile_idx in self.tile_fence.overlapping(lo, hi):
             tile = self.tiles[tile_idx]
             pages = [
-                reader.read_page(self, tile_idx, page_idx) for page_idx in range(len(tile.pages))
+                reader.read_page(self, tile_idx, page_idx)[0]
+                for page_idx in range(len(tile.pages))
             ]
             merged: Iterator[Entry]
             if len(pages) == 1:
@@ -415,7 +371,8 @@ class SSTableFile:
         for tile_idx in reversed(self.tile_fence.overlapping(lo, hi)):
             tile = self.tiles[tile_idx]
             pages = [
-                reader.read_page(self, tile_idx, page_idx) for page_idx in range(len(tile.pages))
+                reader.read_page(self, tile_idx, page_idx)[0]
+                for page_idx in range(len(tile.pages))
             ]
             merged: Iterator[Entry]
             if len(pages) == 1:

@@ -134,6 +134,8 @@ class LSMTree:
         #: Cache of :meth:`deepest_nonempty_level`, invalidated whenever a
         #: level's run list changes (levels call back via their observer).
         self._deepest_cache: int | None = None
+        #: Cache of :meth:`_read_levels`, invalidated by the same observer.
+        self._levels_view: tuple | None = None
         #: True when the level structure may have changed since the last
         #: quiescent maintenance pass.  While clean, ``maintain()`` skips
         #: the planner entirely (the saturation triggers are functions of
@@ -186,8 +188,9 @@ class LSMTree:
         self._degraded_ok = False
         #: The concurrent write-path controller, or None in serial mode.
         #: ``workers`` is a runtime-only knob (never recorded in the
-        #: manifest): with the default of 1 every code path below is the
-        #: untouched serial one, bit-for-bit.
+        #: manifest): with the default of 1 every flush and compaction
+        #: runs inline on the serial write path.  Reads take the same code
+        #: in both modes; only the view they walk differs (_get_entry).
         self._wp = None
         if workers > 1 and not read_only:
             self._start_write_path(workers)
@@ -358,7 +361,7 @@ class LSMTree:
             )
         tree.verify_invariants()
         # Concurrency starts only after recovery is fully settled: every
-        # step above runs on the untouched serial code paths.
+        # step above runs on the serial write path.
         if workers > 1 and not tree._read_only and not tree.degraded:
             tree._start_write_path(workers)
         return tree
@@ -866,37 +869,48 @@ class LSMTree:
         return entry is not None and entry.is_put
 
     def _get_entry(self, key: Any) -> Entry | None:
-        """The pruned point lookup (the tentpole of the read overhaul).
+        """The pruned point lookup -- the one descent of both write modes.
+
+        It walks one view: the fence tuple, the buffered memtables newest
+        first (the active one, then the controller's ``frozen`` queue),
+        and a ``((level, runs), ...)`` tuple -- the serial tree's cached
+        :meth:`_read_levels`, or the controller's ``published`` snapshot.
+        The fences are loaded first: fence retirement republishes the
+        post-resolution structure before it drops a fence, so a reader
+        never pairs a retired-fence view with a snapshot that still holds
+        the entries that fence shadowed.  The rest load in the order data
+        moves, so an entry in flight is seen at least once: the active
+        memtable before ``frozen`` (a rotation queues the table before it
+        rebinds ``memtable``), ``frozen`` before ``published`` (a flush
+        republishes before it trims the queue).
 
         Per run, in cost order: (1) the run's ``[min_key, max_key]`` span
         and the file/tile fence pointers -- pure in-memory comparisons --
-        skip runs that cannot hold the key; (2) when the fences name a
-        single candidate page and it is already cached, the lookup is
-        answered from it directly (a resident page is cheaper than a
-        filter probe, and exact); (3) otherwise the file's Bloom filter
-        is probed with a hash pair computed at most *once* per lookup
-        (and only when some run survives the range check, so out-of-range
-        probes never pay the digest); (4) only then does the file descend
-        to pages, through the shared cache-aware reader.  Level-1 pages --
-        the hottest, most-churned data -- are inserted pinned.  Every
-        skip/probe is accounted per level (see :meth:`read_stats`).
-
-        Concurrent mode routes through the controller's published
-        snapshot (active memtable -> frozen queue -> versioned levels);
-        the two-instruction guard below is the read path's entire
-        concurrency cost in serial mode.
+        skip runs that cannot hold the key; (2) a file every entry of
+        which a range-tombstone fence shadows is skipped outright; (3) the
+        file's Bloom filter is probed with a hash pair computed at most
+        *once* per lookup (and only when some run survives the range
+        check, so out-of-range probes never pay the digest); (4) only then
+        does the file descend to pages, through the shared cache-aware
+        reader.  Level-1 pages are inserted pinned.  Every skip/probe is
+        accounted per level (see :meth:`read_stats`).
         """
-        wp = self._wp
-        if wp is not None:
-            return wp.get_entry(key)
         fences = self._fences
         check = shadow_check(fences)
         entry = self.memtable.get(key)
-        if entry is not None:
-            if check is None or not check(entry):
-                return entry
-            # Fence-shadowed: the buffered version is deleted, but an
-            # older out-of-window version may survive below -- descend.
+        if entry is not None and (check is None or not check(entry)):
+            return entry
+        # Absent or fence-shadowed: an older out-of-window version may
+        # survive below -- descend.
+        wp = self._wp
+        if wp is None:
+            levels = self._levels_view or self._read_levels()
+        else:
+            for memtable in wp.frozen:
+                entry = memtable.get(key)
+                if entry is not None and (check is None or not check(entry)):
+                    return entry
+            levels = wp.published
         hashed = None
         reader = self._reader
         cache_get = self.cache.get
@@ -904,9 +918,9 @@ class LSMTree:
         # to exactly one fence-named page, so the descent is inlined below
         # (no file.get / read_page frames on the hottest path).
         single_page = self.config.pages_per_tile == 1
-        for level in self._levels:
+        for level, runs in levels:
             pinned = level.index == 1
-            for run in level.runs:  # newest first
+            for run in runs:  # newest first
                 files = run.files
                 if key < files[0].min_key or key > files[-1].max_key:
                     level.lookup_skips_range += 1
@@ -985,30 +999,46 @@ class LSMTree:
         ``lo`` (``limit`` then takes the topmost keys).  Lazy: page reads
         are charged as the iterator is consumed.
 
-        The fused path: runs whose key span misses ``[lo, hi]`` are pruned
-        up front without I/O (at call time), each surviving run streams
-        per-tile blocks with batched prefetching (:meth:`Run.scan_blocks`),
-        and :func:`scan_fused` merges the blocks, skipping
-        tombstone-shadowed keys without materializing them and
-        early-exiting on ``limit``.  The returned iterator is a C-level
-        ``map`` over the fused merge -- no per-row Python frame here.
+        The fused path over the same view as :meth:`_get_entry`: runs
+        whose key span misses ``[lo, hi]`` are pruned up front without
+        I/O (at call time), each surviving run streams per-tile blocks
+        with batched prefetching (:meth:`Run.scan_blocks`), and
+        :func:`scan_fused` merges the blocks, skipping tombstone-shadowed
+        keys without materializing them and early-exiting on ``limit``.
+        Versions resolve by seqno inside the merge, so the sources' order
+        is irrelevant.  The returned iterator is a C-level ``map`` over
+        the fused merge -- no per-row Python frame here.
         """
         self._check_open()
         self.counters["scans"] += 1
         if limit is not None and limit <= 0:
             return iter(())  # LIMIT 0: empty, not "unlimited"
         wp = self._wp
-        if wp is not None:
-            return wp.scan(lo, hi, limit=limit, reverse=reverse)
-        reader = self._reader
-        buffered = list(self.memtable.range(lo, hi))
-        if reverse:
-            buffered.reverse()
+        if wp is None:
+            fences = self._fences
+            buffered = [list(self.memtable.range(lo, hi))]
+            frozen = ()
+            levels = self._read_levels()
+        else:
+            # The active skip list is not safe to traverse mid-insert, so
+            # its range is read under the writer lock; the rest of the
+            # view is immutable.  Same load order as _get_entry.
+            with wp.write_lock:
+                fences = self._fences
+                buffered = [list(self.memtable.range(lo, hi))]
+                frozen = wp.frozen
+                levels = wp.published
+        for memtable in frozen:
+            buffered.append(list(memtable.range(lo, hi)))
         sources: list = []
-        if buffered:
-            sources.append((buffered,))
-        for level in self._levels:
-            for run in level.runs:
+        for chunk in buffered:
+            if chunk:
+                if reverse:
+                    chunk.reverse()
+                sources.append((chunk,))
+        reader = self._reader
+        for level, runs in levels:
+            for run in runs:
                 if run.max_key < lo or run.min_key > hi:
                     level.scan_runs_pruned += 1
                     continue
@@ -1017,12 +1047,7 @@ class LSMTree:
             return iter(())
         return map(
             _ENTRY_PAIR,
-            scan_fused(
-                sources,
-                limit=limit,
-                reverse=reverse,
-                drop=shadow_check(self._fences),
-            ),
+            scan_fused(sources, limit=limit, reverse=reverse, drop=shadow_check(fences)),
         )
 
     def read_stats(self) -> dict[str, Any]:
@@ -1070,7 +1095,22 @@ class LSMTree:
     def _on_structure_change(self) -> None:
         """A level's run list changed: invalidate structure-derived caches."""
         self._deepest_cache = None
+        self._levels_view = None
         self._maintenance_dirty = True
+
+    def _read_levels(self) -> tuple:
+        """The read path's ``((level, (run, ...)), ...)`` view of the tree.
+
+        Cached until the next structural change.  Serial reads walk it
+        directly; the concurrent controller publishes it after every
+        install (under its structure lock, so the cache never races).
+        """
+        view = self._levels_view
+        if view is None:
+            view = self._levels_view = tuple(
+                (level, tuple(level.runs)) for level in self._levels
+            )
+        return view
 
     def iter_levels(self) -> Iterator[Level]:
         """Existing levels, shallow to deep (some may be empty)."""
@@ -1358,10 +1398,10 @@ class LSMTree:
                 wp.close()
             finally:
                 # Clear the controller only after its workers have
-                # stopped: a reader racing with close keeps taking the
-                # published-snapshot path while the drain is still
-                # installing flushes/compactions, instead of iterating
-                # half-installed levels through the serial body.
+                # stopped: a reader racing with close keeps walking the
+                # published snapshot while the drain is still installing
+                # flushes/compactions, instead of iterating half-installed
+                # levels through the serial view.
                 self._wp = None
                 if self._wal is not None:
                     self._wal.close()
@@ -1528,7 +1568,14 @@ class LSMTree:
             )
 
     def check_invariants(self) -> None:
-        """Deep structural self-check (tests; AssertionError on failure)."""
+        """Deep structural self-check (tests; AssertionError on failure).
+
+        Drains the background machinery first, as :meth:`verify_invariants`
+        does: an install in flight can show one file at two depths.
+        """
+        wp = self._wp
+        if wp is not None and not wp.owns_inline():
+            wp.barrier()
         for level in self._levels:
             # Cache coherence: the incremental counters must equal a fresh
             # recomputation from the (immutable) files at all times.

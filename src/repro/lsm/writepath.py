@@ -22,10 +22,12 @@ work behind the ingest thread:
   one structure lock.
 * **Published snapshots** -- after every structural install the controller
   rebuilds ``published``: an immutable ``((level, (run, ...)), ...)``
-  tuple.  Readers grab one reference (a single atomic load under the GIL)
-  and see a complete, consistent tree version; a half-installed level is
-  never observable.  Stale snapshots stay valid because runs, files, and
-  pages are immutable and file ids are never reused.
+  tuple.  The tree's one read path (:meth:`LSMTree._get_entry`,
+  :meth:`LSMTree.scan`) grabs one reference (a single atomic load under
+  the GIL) together with ``frozen`` and sees a complete, consistent tree
+  version; a half-installed level is never observable.  Stale snapshots
+  stay valid because runs, files, and pages are immutable and file ids
+  are never reused.  The controller owns no lookup or scan code.
 * **Backpressure** -- rotation applies a soft delay (a real sleep, which
   also yields the interpreter to the background workers) once the frozen
   queue or level 1 pass their soft thresholds, and a hard stall (condition
@@ -43,25 +45,23 @@ filter, and the log is truncated only at full quiesce (``flush()`` /
 fired inside workers exactly like inline ones.
 
 Determinism: the controller only exists for ``workers > 1``.  With
-``workers=1`` (the default) the tree takes the untouched serial code
-paths, bit-identical to the pre-concurrency engine.
+``workers=1`` (the default) the tree flushes and compacts inline, on the
+serial write path the archived benchmarks were recorded against.  Reads
+take the same code in both modes; only the view they walk differs.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
 from operator import attrgetter
 from time import perf_counter, sleep
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.filters.bloom import _key_bytes, hash_pair, key_hash_pair
 from repro.lsm.compaction import execute_task, install_task, merge_task
 from repro.lsm.entry import Entry, EntryKind
-from repro.lsm.fence import RangeFence, file_fully_shadowed, shadow_check
-from repro.lsm.iterator import scan_fused
+from repro.lsm.fence import RangeFence, shadow_check
 from repro.lsm.memtable import Memtable
 from repro.lsm.run import Run, build_files
 from repro.storage.disk import CATEGORY_FLUSH
@@ -71,7 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _ENTRY_KEY = attrgetter("key")
 _ENTRY_SEQNO = attrgetter("seqno")
-_ENTRY_PAIR = attrgetter("key", "value")
 
 #: Frozen-queue depth (per worker) at which writers take the soft delay.
 SOFT_QUEUE_DEPTH_PER_WORKER = 3
@@ -502,144 +501,6 @@ class WritePathController:
         return changed
 
     # ==================================================================
-    # read path (no locks; immutable snapshots)
-    # ==================================================================
-    def get_entry(self, key: Any) -> Entry | None:
-        """Point lookup over active memtable -> frozen queue -> snapshot.
-
-        The on-disk descent mirrors :meth:`LSMTree.get_entry` exactly
-        (range fences -> Bloom probe with one hash pair per lookup ->
-        cache-first single-page fast path) so modeled page reads and the
-        per-level skip/probe accounting agree between serial and
-        concurrent mode on identical workloads.
-        """
-        tree = self.tree
-        # The fence snapshot is loaded *before* frozen/published.  Fence
-        # retirement republishes the post-resolution structure before it
-        # drops a fence, so this load order guarantees a reader never
-        # pairs a retired-fence view with a snapshot that still holds the
-        # entries that fence shadowed.
-        fences = tree._fences
-        check = shadow_check(fences)
-        entry = tree.memtable.get(key)
-        if entry is not None:
-            if check is None or not check(entry):
-                return entry
-            # Fence-shadowed: an older out-of-window version may survive
-            # in the frozen queue or on disk -- keep descending.
-        for memtable in self.frozen:
-            entry = memtable.get(key)
-            if entry is not None:
-                if check is None or not check(entry):
-                    return entry
-        reader = tree._reader
-        hashed = None
-        cache_get = tree.cache.get
-        single_page = tree.config.pages_per_tile == 1
-        for level, runs in self.published:
-            pinned = level.index == 1
-            for run in runs:  # newest first
-                files = run.files
-                if key < files[0].min_key or key > files[-1].max_key:
-                    level.lookup_skips_range += 1
-                    continue
-                fence = run.file_fence
-                idx = bisect_right(fence.mins, key) - 1
-                if idx < 0 or key > fence.maxes[idx]:
-                    level.lookup_skips_range += 1
-                    continue
-                file = files[idx]
-                if check is not None and file_fully_shadowed(file, fences):
-                    # Every PUT in this file is fence-shadowed: skip the
-                    # Bloom probe and the page descent entirely.
-                    level.lookup_skips_fence += 1
-                    continue
-                if hashed is None:
-                    try:
-                        hashed = key_hash_pair(key, tree.bloom_salt)
-                    except TypeError:  # unhashable key: digest directly
-                        hashed = hash_pair(_key_bytes(key), tree.bloom_salt)
-                if not file.bloom.might_contain_hashed(hashed[0], hashed[1]):
-                    level.lookup_skips_bloom += 1
-                    continue
-                level.lookup_probes += 1
-                if single_page:
-                    tile_fence = file.tile_fence
-                    tidx = bisect_right(tile_fence.mins, key) - 1
-                    if tidx < 0 or key > tile_fence.maxes[tidx]:
-                        continue  # filter false positive, key between tiles
-                    pages = file.tiles[tidx].pages
-                    if len(pages) != 1:  # layout drift (recovered file)
-                        found = file.get(key, reader, pinned, tidx)
-                    else:
-                        page = cache_get(file.file_id, tidx)
-                        if page is None:
-                            tree.disk.read_pages(1, reader.category)
-                            page = pages[0]
-                            tree.cache.put(file.file_id, tidx, page, pinned)
-                        else:
-                            level.lookup_cache_direct += 1
-                        found = page.get(key)
-                else:
-                    found = file.get(key, reader, pinned)
-                if found is not None:
-                    if check is not None and check(found):
-                        # Shadowed by a fence that outlives this version;
-                        # an older survivor may exist deeper down.
-                        continue
-                    level.lookup_serves += 1
-                    return found
-        return None
-
-    def scan(
-        self,
-        lo: Any,
-        hi: Any,
-        limit: int | None = None,
-        reverse: bool = False,
-    ) -> Iterator[tuple[Any, Any]]:
-        """Fused range scan over the full concurrent view.
-
-        The active memtable is snapshotted under ``write_lock`` (skip-list
-        links are not safe to traverse mid-insert); each frozen memtable
-        and the published runs are immutable and need no lock.  Shadow
-        resolution is by seqno inside :func:`scan_fused`, so each source's
-        relative order is irrelevant.
-        """
-        tree = self.tree
-        reader = tree._reader
-        sources: list = []
-        with self.write_lock:
-            fences = tree._fences  # before frozen/published (see get_entry)
-            buffered = list(tree.memtable.range(lo, hi))
-            frozen = self.frozen
-            published = self.published
-        if buffered:
-            if reverse:
-                buffered.reverse()
-            sources.append((buffered,))
-        for memtable in frozen:
-            chunk = list(memtable.range(lo, hi))
-            if chunk:
-                if reverse:
-                    chunk.reverse()
-                sources.append((chunk,))
-        for level, runs in published:
-            for run in runs:
-                if run.max_key < lo or run.min_key > hi:
-                    level.scan_runs_pruned += 1
-                    continue
-                sources.append(run.scan_blocks(lo, hi, reader, reverse))
-        if not sources:
-            return iter(())
-        return map(
-            _ENTRY_PAIR,
-            scan_fused(
-                sources, limit=limit, reverse=reverse, drop=shadow_check(fences)
-            ),
-        )
-
-    # ==================================================================
     # quiesce points
     # ==================================================================
     def barrier(self) -> None:
@@ -1035,9 +896,7 @@ class WritePathController:
     # ==================================================================
     def _republish(self) -> None:
         """Rebuild the immutable version readers navigate (``_mu`` held)."""
-        self.published = tuple(
-            (level, tuple(level.runs)) for level in self.tree._levels
-        )
+        self.published = self.tree._read_levels()
 
     def report(self) -> dict[str, Any]:
         stats = self.stats

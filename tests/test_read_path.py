@@ -1,7 +1,7 @@
 """The read-path overhaul: pruned lookups, the fused scan, and the block
 cache wired into the tree.
 
-Three layers of assurance:
+Four layers of assurance:
 
 * property tests that the overhauled ``get``/``scan`` (with and without a
   cache attached) stay byte-identical to a model dict, including reverse
@@ -10,7 +10,9 @@ Three layers of assurance:
   page must belong to a currently-live file, and recovery GC must never
   reuse a garbage-collected file id;
 * counter/observability checks: the per-level probe/skip/serve accounting
-  and the cache stats surfaced through ``read_stats`` and the inspector.
+  and the cache stats surfaced through ``read_stats`` and the inspector;
+* serial/concurrent parity: one store reopened in both write modes gives
+  the same answers, cache counters and per-level rows.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CompactionStyle, baseline_config
+from repro.core.engine import AcheronEngine
 from repro.demo.inspector import TreeInspector
 from repro.lsm.tree import LSMTree
 from repro.storage.filestore import FileStore
@@ -287,3 +290,80 @@ class TestObservabilitySurfaces:
         assert stats.cache["capacity_pages"] == 16
         assert isinstance(stats.read_path, list)
         assert stats.counters["cache_hits"] == engine.tree.cache.hits
+
+
+class TestOneReadPathAcrossWriteModes:
+    """Serial and concurrent trees walk the same descent and scan.
+
+    One durable store is built serially, then reopened once with the
+    serial write path and once with background workers.  Replaying the
+    same reads on each must give the same answers *and* the same cache
+    and per-level read accounting: the concurrent mode differs only in
+    the view it hands the read path (frozen memtables and a published
+    snapshot), never in how the view is walked.  The negative-lookup
+    flood (1 bloom bit per key, odd keys over an all-even store) makes
+    nearly every run a filter false positive, so a hardened cache's
+    guard drops pages on every path or on none.
+    """
+
+    LIVE = 4_000
+    HOT = range(0, 400, 6)
+    #: Delete-key window of the live range fence: shadows keys 2000..2998.
+    FENCE = (1_000, 1_499)
+
+    @classmethod
+    def build(cls, directory, pages_per_tile, hardened):
+        config = baseline_config(
+            memtable_entries=128,
+            entries_per_page=8,
+            size_ratio=3,
+            pages_per_tile=pages_per_tile,
+            bloom_bits_per_key=1,
+            cache_pages=64,
+            cache_hardened=hardened,
+        )
+        engine = AcheronEngine(config, directory=directory, workers=1)
+        engine.put_many((2 * k, f"v{k}", k) for k in range(cls.LIVE))
+        engine.delete_range(*cls.FENCE, method="lazy")
+        engine.close()
+
+    def replay(self, directory, workers):
+        engine = AcheronEngine(directory=directory, workers=workers)
+        try:
+            assert (engine.tree.write_path is None) == (workers == 1)
+            assert engine.tree.fences, "the range fence must still be live"
+            gets = [engine.get(k) for k in self.HOT]
+            flood = [engine.get(2 * k + 1) for k in range(self.LIVE)]
+            gets += [engine.get(k) for k in self.HOT]
+            scans = [
+                list(engine.scan(500, 1_500)),
+                list(engine.scan(500, 1_500, reverse=True)),
+                list(engine.scan(6_000, 7_000, limit=25)),
+                list(engine.scan(6_000, 7_000, limit=25, reverse=True)),
+                list(engine.scan(1_900, 3_100)),  # across the fence
+                list(engine.scan(1_900, 3_100, reverse=True)),
+            ]
+            return gets, flood, scans, engine.tree.read_stats()
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("hardened", [False, True], ids=["plain", "hardened"])
+    @pytest.mark.parametrize("pages_per_tile", [1, 8], ids=["h1", "h8"])
+    def test_concurrent_reads_match_serial(self, tmp_path, pages_per_tile, hardened):
+        self.build(str(tmp_path), pages_per_tile, hardened)
+        serial = self.replay(str(tmp_path), workers=1)
+        assert self.replay(str(tmp_path), workers=4) == serial
+
+        gets, flood, scans, stats = serial
+        live = {2 * k: f"v{k}" for k in range(self.LIVE)}
+        for k in range(self.FENCE[0], self.FENCE[1] + 1):
+            del live[2 * k]
+        assert gets == [live.get(k) for k in self.HOT] * 2
+        assert flood == [None] * self.LIVE
+        in_range = sorted((k, v) for k, v in live.items() if 500 <= k <= 1_500)
+        assert scans[0] == in_range and scans[1] == in_range[::-1]
+        tail = sorted((k, v) for k, v in live.items() if 6_000 <= k <= 7_000)
+        assert scans[2] == tail[:25] and scans[3] == tail[::-1][:25]
+        fenced = sorted((k, v) for k, v in live.items() if 1_900 <= k <= 3_100)
+        assert scans[4] == fenced and scans[5] == fenced[::-1]
+        assert (stats["cache"]["negative_guard_drops"] > 0) == hardened
